@@ -33,7 +33,7 @@ fn bench_group_commit(c: &mut Criterion) {
             let (mut store, _) = TsStore::open(vfs, manual_opts()).unwrap();
             let batch_rows = rows(batch);
             b.iter(|| {
-                store.append(black_box(&batch_rows));
+                store.append(black_box(batch_rows.clone()));
                 store.commit().unwrap()
             })
         });
@@ -47,7 +47,7 @@ fn bench_flush(c: &mut Criterion) {
         b.iter(|| {
             let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(2));
             let (mut store, _) = TsStore::open(vfs, manual_opts()).unwrap();
-            store.append(&payload);
+            store.append(payload.clone());
             store.commit().unwrap();
             black_box(store.flush().unwrap())
         })
@@ -61,7 +61,7 @@ fn bench_recovery(c: &mut Criterion) {
     let wal_vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(3));
     {
         let (mut store, _) = TsStore::open(wal_vfs.clone(), manual_opts()).unwrap();
-        store.append(&rows(8192));
+        store.append(rows(8192));
         store.commit().unwrap();
     }
     group.bench_function("wal_replay_8k_rows", |b| {
@@ -72,7 +72,7 @@ fn bench_recovery(c: &mut Criterion) {
     let chunk_vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(4));
     {
         let (mut store, _) = TsStore::open(chunk_vfs.clone(), manual_opts()).unwrap();
-        store.append(&rows(8192));
+        store.append(rows(8192));
         store.commit().unwrap();
         store.flush().unwrap();
     }

@@ -137,7 +137,7 @@ fn ingest(seed: u64, backup: bool) -> (TsStore, MemDisk, f64) {
         if backup {
             store.note_time((b as i64 + 1) * 1_000);
         }
-        store.append(&batch(b, &mut value_seed));
+        store.append(batch(b, &mut value_seed));
         store.commit().unwrap();
         if (b + 1) % FLUSH_EVERY == 0 {
             store.flush().unwrap();

@@ -37,13 +37,13 @@
 
 use crate::error::PcpError;
 use crate::sampler::SamplingConfig;
-use crate::transport::{upgrade_on_fault, Shipper, TraceHandle, FETCH_NS, RETRY_NS};
+use crate::transport::{ingest_one, upgrade_on_fault, Shipper, TraceHandle, FETCH_NS, RETRY_NS};
 use pmove_hwsim::network::FaultSchedule;
 use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Histogram, Registry, TraceContext};
 use pmove_tsdb::repl::{IntegrityReport, ReplicaSet};
 use pmove_tsdb::store::Scrubber;
-use pmove_tsdb::{ExecMode, FieldValue, Point, Query, QueryResult, TsdbError};
+use pmove_tsdb::{ExecMode, FieldValue, Origin, Point, Query, QueryResult, TsdbError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -398,40 +398,34 @@ impl<'a> ReplShipper<'a> {
         let mut ack_count = 0usize;
         for (i, ack) in acks.iter_mut().enumerate() {
             let reachable = self.replica_write_ok(t, i);
-            match &qspan {
-                Some((tracer, q)) => {
-                    let rspan = tracer.child(*q, "repl.replica_write", cursor);
-                    if reachable {
-                        let (res, end_ns) = self.set.replica(i).write_point_traced(
-                            point.clone(),
-                            tracer,
-                            rspan,
-                            cursor + Self::QUORUM_PER_ACK_NS,
-                        );
-                        let end_ns = end_ns.max(cursor + Self::QUORUM_PER_ACK_NS);
-                        if res.is_ok() {
-                            *ack = true;
-                            ack_count += 1;
-                            tracer.end_span_status(rspan, end_ns, "acked");
-                        } else {
-                            tracer.end_span_status(rspan, end_ns, "rejected");
-                        }
-                        cursor = end_ns;
-                    } else {
-                        tracer.end_span_status(
-                            rspan,
-                            cursor + Self::QUORUM_PER_ACK_NS,
-                            "unreachable",
-                        );
-                        cursor += Self::QUORUM_PER_ACK_NS;
-                    }
-                }
-                None => {
-                    if reachable && self.set.replica(i).write_point(point.clone()).is_ok() {
-                        *ack = true;
-                        ack_count += 1;
-                    }
-                }
+            let wire_end = cursor + Self::QUORUM_PER_ACK_NS;
+            let rspan = qspan
+                .as_ref()
+                .map(|(tracer, q)| (tracer, tracer.child(*q, "repl.replica_write", cursor)));
+            let (acked, end_ns) = if reachable {
+                let trace = rspan.map(|(tracer, span)| (tracer.as_ref(), span, wire_end));
+                ingest_one(
+                    self.set.replica(i),
+                    point.clone(),
+                    Origin::Client,
+                    trace,
+                    wire_end,
+                )
+            } else {
+                (false, wire_end)
+            };
+            if acked {
+                *ack = true;
+                ack_count += 1;
+            }
+            if let Some((tracer, span)) = rspan {
+                let status = match (reachable, acked) {
+                    (false, _) => "unreachable",
+                    (true, true) => "acked",
+                    (true, false) => "rejected",
+                };
+                tracer.end_span_status(span, end_ns, status);
+                cursor = end_ns;
             }
         }
         if let Some((tracer, q)) = &qspan {
@@ -629,26 +623,23 @@ impl<'a> ReplShipper<'a> {
                 break;
             }
             let entry = self.hints[i].pop_front().expect("checked non-empty");
-            let applied = match &entry.trace {
-                Some((tracer, c)) if c.sampled => {
-                    let replay = tracer.child(*c, "repl.hint_replay", t_ns);
-                    let (res, end_ns) = self.set.replica(i).apply_remote_traced(
-                        entry.point.clone(),
-                        tracer,
-                        replay,
-                        t_ns + RETRY_NS,
-                    );
-                    let end_ns = end_ns.max(t_ns + RETRY_NS);
-                    let status = if res.is_ok() { "ok" } else { "rejected" };
-                    tracer.end_span_status(replay, end_ns, status);
-                    res.is_ok()
-                }
-                _ => self
-                    .set
-                    .replica(i)
-                    .apply_remote(entry.point.clone())
-                    .is_ok(),
-            };
+            let replay = entry
+                .trace
+                .as_ref()
+                .filter(|(_, c)| c.sampled)
+                .map(|(tracer, c)| (tracer, tracer.child(*c, "repl.hint_replay", t_ns)));
+            let trace = replay.map(|(tracer, span)| (tracer.as_ref(), span, t_ns + RETRY_NS));
+            let (applied, end_ns) = ingest_one(
+                self.set.replica(i),
+                entry.point.clone(),
+                Origin::Remote,
+                trace,
+                t_ns + RETRY_NS,
+            );
+            if let Some((tracer, span)) = replay {
+                let status = if applied { "ok" } else { "rejected" };
+                tracer.end_span_status(span, end_ns, status);
+            }
             if !applied {
                 self.hints[i].push_front(entry);
                 break;

@@ -25,7 +25,7 @@ use crate::resilience::{BreakerState, CircuitBreaker, ResilienceConfig};
 use pmove_hwsim::network::{FaultSchedule, FaultState, LinkSpec};
 use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Registry, TraceContext, Tracer};
-use pmove_tsdb::{Database, Point};
+use pmove_tsdb::{Database, IngestTrace, Origin, Point};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -44,6 +44,22 @@ pub(crate) const RETRY_NS: u64 = 15_000;
 /// A live trace riding on one report: the tracer it belongs to plus the
 /// context whose trace the shipper must terminate.
 pub(crate) type TraceHandle = (Arc<Tracer>, TraceContext);
+
+/// Ingest one point into `db`: whether it landed, and where its modeled
+/// ingest spans end on the virtual clock — never before `floor`, the
+/// caller's modeled start.
+pub(crate) fn ingest_one(
+    db: &Database,
+    point: Point,
+    origin: Origin,
+    trace: Option<IngestTrace<'_>>,
+    floor: u64,
+) -> (bool, u64) {
+    match db.ingest(vec![point], origin, trace) {
+        Ok(out) => (out.all_accepted(), out.end_ns.max(floor)),
+        Err(_) => (false, floor),
+    }
+}
 
 /// Upgrade an unsampled trace at a fault site when the tracer's
 /// always-sample-on-fault policy asks for it; flag sampled ones.
@@ -604,27 +620,26 @@ impl<'a> Shipper<'a> {
         values: u64,
         tr: &Option<TraceHandle>,
     ) -> (bool, u64) {
-        match tr {
-            Some((tracer, ctx)) if ctx.sampled => {
+        let att_start = t_ns + FETCH_NS;
+        let wire_end = att_start + ATTEMPT_BASE_NS + ATTEMPT_PER_VALUE_NS * values;
+        let attempt = tr
+            .as_ref()
+            .filter(|(_, ctx)| ctx.sampled)
+            .map(|(tracer, ctx)| {
                 let fetch = tracer.child(*ctx, "pcp.fetch", t_ns);
-                tracer.end_span(fetch, t_ns + FETCH_NS);
-                let att_start = t_ns + FETCH_NS;
-                let att = tracer.child(*ctx, "pcp.ship_attempt", att_start);
-                let wire_end = att_start + ATTEMPT_BASE_NS + ATTEMPT_PER_VALUE_NS * values;
-                let (res, ingest_end) = self.db.write_point_traced(point, tracer, att, wire_end);
-                let end_ns = ingest_end.max(wire_end);
-                if res.is_ok() {
-                    tracer.end_span(att, end_ns);
-                } else {
-                    tracer.end_span_status(att, end_ns, "db_rejected");
-                }
-                (res.is_ok(), end_ns)
-            }
-            _ => {
-                let end_ns = t_ns + FETCH_NS + ATTEMPT_BASE_NS + ATTEMPT_PER_VALUE_NS * values;
-                (self.db.write_point(point).is_ok(), end_ns)
+                tracer.end_span(fetch, att_start);
+                (tracer, tracer.child(*ctx, "pcp.ship_attempt", att_start))
+            });
+        let trace = attempt.map(|(tracer, att)| (tracer.as_ref(), att, wire_end));
+        let (ok, end_ns) = ingest_one(self.db, point, Origin::Client, trace, wire_end);
+        if let Some((tracer, att)) = attempt {
+            if ok {
+                tracer.end_span(att, end_ns);
+            } else {
+                tracer.end_span_status(att, end_ns, "db_rejected");
             }
         }
+        (ok, end_ns)
     }
 
     /// A report could not be delivered at `t`. Default mode: lost, as the
@@ -739,36 +754,26 @@ impl<'a> Shipper<'a> {
             self.stats.values_spill_pending -= entry.values;
             self.stats.bytes_shipped +=
                 entry.point.wire_size() as u64 + self.link.overhead_bytes as u64;
-            match &entry.trace {
-                Some((tracer, ctx)) if ctx.sampled => {
-                    let retry = tracer.child(*ctx, "pcp.retry", t_ns);
-                    let (res, ingest_end) =
-                        self.db
-                            .write_point_traced(entry.point, tracer, retry, t_ns + RETRY_NS);
-                    let end_ns = ingest_end.max(t_ns + RETRY_NS);
-                    tracer.end_span(retry, end_ns);
-                    if res.is_ok() {
-                        self.stats.values_inserted += entry.values;
-                        self.stats.values_recovered += entry.values;
-                        tracer.finish_trace(*ctx, end_ns, "recovered");
-                    } else {
-                        self.stats.values_lost += entry.values;
-                        tracer.finish_trace(*ctx, end_ns, "lost");
-                    }
-                }
-                _ => {
-                    let res = self.db.write_point(entry.point);
-                    if res.is_ok() {
-                        self.stats.values_inserted += entry.values;
-                        self.stats.values_recovered += entry.values;
-                    } else {
-                        self.stats.values_lost += entry.values;
-                    }
-                    if let Some((tracer, ctx)) = entry.trace {
-                        let status = if res.is_ok() { "recovered" } else { "lost" };
-                        tracer.finish_trace(ctx, t_ns + RETRY_NS, status);
-                    }
-                }
+            let retry = entry
+                .trace
+                .as_ref()
+                .filter(|(_, ctx)| ctx.sampled)
+                .map(|(tracer, ctx)| (tracer, tracer.child(*ctx, "pcp.retry", t_ns)));
+            let trace = retry.map(|(tracer, span)| (tracer.as_ref(), span, t_ns + RETRY_NS));
+            let (ok, end_ns) =
+                ingest_one(self.db, entry.point, Origin::Client, trace, t_ns + RETRY_NS);
+            if let Some((tracer, span)) = retry {
+                tracer.end_span(span, end_ns);
+            }
+            if ok {
+                self.stats.values_inserted += entry.values;
+                self.stats.values_recovered += entry.values;
+            } else {
+                self.stats.values_lost += entry.values;
+            }
+            if let Some((tracer, ctx)) = entry.trace {
+                let status = if ok { "recovered" } else { "lost" };
+                tracer.finish_trace(ctx, end_ns, status);
             }
             self.backoff_s = 0.0;
             self.next_retry_s = t;

@@ -143,7 +143,7 @@ fn run_case(case: &Case) -> RunOutcome {
                 crash_at_op: primary.ops_done() + 1,
                 mode: FaultMode::CleanStop,
             });
-            store.append(&rows);
+            store.append(rows.clone());
             assert!(store.commit().is_err(), "commit under crash must fail");
             primary.restart();
             drop(store);
@@ -159,7 +159,7 @@ fn run_case(case: &Case) -> RunOutcome {
             continue;
         }
 
-        store.append(&rows);
+        store.append(rows.clone());
         store.commit().unwrap();
         oracle.extend(cells_of(&rows));
         fences.push(vts);
@@ -386,7 +386,7 @@ proptest! {
         for b in 0..n_batches {
             store.note_time((b as i64 + 1) * 1_000);
             let rows = batch(b, 3, &mut value_seed);
-            store.append(&rows);
+            store.append(rows.clone());
             store.commit().unwrap();
             oracle.extend(cells_of(&rows));
             store.flush().unwrap();
@@ -406,7 +406,7 @@ proptest! {
         // Live store untouched by the failed backup.
         prop_assert_eq!(&cells_of(&store.scan().unwrap()), &live_before);
         // The chunk pins were released: compaction may proceed.
-        store.append(&[RowRecord::new("s0", "f0", 999_999, ColumnValue::F64(1.5))]);
+        store.append(vec![RowRecord::new("s0", "f0", 999_999, ColumnValue::F64(1.5))]);
         store.note_time((n_batches as i64 + 1) * 1_000);
         store.commit().unwrap();
         store.flush().unwrap();
@@ -446,7 +446,7 @@ fn snapshot_restore_agrees_with_full_replay_and_replays_less() {
     let mut seed = 7u64;
     for b in 0..20u64 {
         store.note_time((b as i64 + 1) * 1_000);
-        store.append(&batch(b, 4, &mut seed));
+        store.append(batch(b, 4, &mut seed));
         store.commit().unwrap();
         if b % 4 == 3 {
             store.flush().unwrap();

@@ -814,14 +814,15 @@ mod tests {
 
     #[test]
     fn quorum_backend_serves_queries() {
-        use pmove_tsdb::{ReplConfig, ReplicaSet};
+        use pmove_tsdb::{Origin, ReplConfig, ReplicaSet};
         let set = ReplicaSet::in_memory("serve-q", ReplConfig::default()).unwrap();
         for s in 0..10i64 {
             let p = Point::new("cpu")
                 .timestamp(s * 1_000_000_000)
                 .field("busy", 1.0);
             for r in set.replicas() {
-                r.apply_remote(p.clone()).unwrap();
+                let out = r.ingest(vec![p.clone()], Origin::Remote, None).unwrap();
+                assert!(out.all_accepted());
             }
         }
         let mut srv = QueryServer::new(&set, ServingConfig::default()).unwrap();

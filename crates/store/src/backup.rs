@@ -1031,18 +1031,18 @@ mod tests {
     fn backup_restore_roundtrip_snapshot_plus_replay() {
         let (mut store, _, dest) = store_with_backup(40);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, -0.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 2, -0.0)]);
         store.commit().unwrap();
         store.flush().unwrap(); // chunk 0, archive fence advances
         store.note_time(2_000);
-        store.append(&[row("s", "f", 3, f64::NAN)]);
+        store.append(vec![row("s", "f", 3, f64::NAN)]);
         store.commit().unwrap();
         let report = store.backup_now().unwrap();
         assert_eq!(report.chunks, 1);
         assert_eq!(report.fence_vts, 2_000);
         // Rows committed after the snapshot ride the archive alone.
         store.note_time(3_000);
-        store.append(&[row("s", "f", 4, 4.0), row("s", "f", 2, 20.0)]);
+        store.append(vec![row("s", "f", 4, 4.0), row("s", "f", 2, 20.0)]);
         store.commit().unwrap();
 
         let want: Vec<RowRecord> = store.scan().unwrap();
@@ -1072,7 +1072,7 @@ mod tests {
         let (mut store, primary, dest) = store_with_backup(41);
         store.note_time(1_000);
         for i in 0..3i64 {
-            store.append(&[row("s", "f", i, i as f64)]);
+            store.append(vec![row("s", "f", i, i as f64)]);
             store.commit().unwrap();
             store.flush().unwrap();
         }
@@ -1105,7 +1105,7 @@ mod tests {
     fn torn_backup_is_invisible_and_next_tick_completes() {
         let (mut store, _, dest) = store_with_backup(42);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         // Crash the backup disk mid-job: the chunk copy (or the
@@ -1139,7 +1139,7 @@ mod tests {
     fn corrupt_backed_up_chunk_is_refused_not_restored() {
         let (mut store, _, dest) = store_with_backup(43);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         store.backup_now().unwrap();
@@ -1163,10 +1163,10 @@ mod tests {
     fn archive_corruption_before_target_is_refused() {
         let (mut store, _, dest) = store_with_backup(44);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.note_time(2_000);
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         // Rot the first archive segment's first frame payload.
         let name = segment_name(0);
@@ -1187,7 +1187,7 @@ mod tests {
     fn archiver_rides_through_destination_crash() {
         let (mut store, _, dest) = store_with_backup(45);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         // Crash the backup disk; the primary commit must still succeed.
         dest.schedule_fault(FaultPlan {
@@ -1195,13 +1195,13 @@ mod tests {
             mode: FaultMode::TornTail,
         });
         store.note_time(2_000);
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 2, 2.0)]);
         store.commit().unwrap(); // archive write fails silently
         assert!(store.backup_stats().unwrap().archive_errors >= 1);
         dest.restart();
         // The retry resyncs, seals past any torn bytes, and catches up.
         store.note_time(3_000);
-        store.append(&[row("s", "f", 3, 3.0)]);
+        store.append(vec![row("s", "f", 3, 3.0)]);
         store.commit().unwrap();
         let (got, rr) = restore_rows(&dest, i64::MAX);
         assert_eq!(got.len(), 3, "archive lag repaired after dest restart");
@@ -1215,14 +1215,14 @@ mod tests {
         let (mut store, _) = TsStore::open(Arc::new(primary.clone()), manual_opts()).unwrap();
         store.enable_backup(Arc::new(dest.clone())).unwrap();
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         // Primary dies; reopen and re-enable backups.
         primary.schedule_fault(FaultPlan {
             crash_at_op: primary.ops_done() + 1,
             mode: FaultMode::CleanStop,
         });
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 2, 2.0)]);
         assert!(store.commit().is_err());
         primary.restart();
         drop(store);
@@ -1232,7 +1232,7 @@ mod tests {
         assert_eq!(attach.resumed_seq, 1, "archive cursor resumes");
         assert_eq!(attach.catchup_records, 1, "live WAL re-archived");
         store.note_time(5_000);
-        store.append(&[row("s", "f", 9, 9.0)]);
+        store.append(vec![row("s", "f", 9, 9.0)]);
         store.commit().unwrap();
         let (got, rr) = restore_rows(&dest, i64::MAX);
         assert_eq!(got.len(), 2);

@@ -220,11 +220,11 @@ mod tests {
         for _ in 0..chunks {
             let rows: Vec<RowRecord> = (0..16).map(|i| row(ts + i, (ts + i) as f64)).collect();
             ts += 16;
-            store.append(&rows);
+            store.append(rows);
             store.commit().unwrap();
             store.flush().unwrap();
         }
-        store.append(&[row(ts, ts as f64), row(ts + 1, (ts + 1) as f64)]);
+        store.append(vec![row(ts, ts as f64), row(ts + 1, (ts + 1) as f64)]);
         store.commit().unwrap();
         (disk, store)
     }

@@ -500,27 +500,9 @@ impl TsStore {
     }
 
     /// Stage `rows` and frame them as one WAL record. Not durable — and
-    /// not visible to [`TsStore::scan`] — until [`TsStore::commit`].
-    pub fn append(&mut self, rows: &[RowRecord]) {
-        if rows.is_empty() {
-            return;
-        }
-        let payload = encode_row_batch(rows);
-        self.wal.append(&payload);
-        if let Some(bk) = &mut self.bk {
-            bk.stage(payload);
-        }
-        self.staged.extend_from_slice(rows);
-        if let Some(obs) = &self.obs {
-            obs.wal_records_appended.add(rows.len() as u64);
-        }
-    }
-
-    /// [`TsStore::append`] taking ownership of the rows: identical WAL
-    /// frame, identical staging semantics, but the records move into the
-    /// staging buffer instead of being cloned — the batch ingest path
-    /// hands over thousands of rows per call and never reuses them.
-    pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
+    /// not visible to [`TsStore::scan`] — until [`TsStore::commit`]. The
+    /// records move into the staging buffer, never cloned.
+    pub fn append(&mut self, rows: Vec<RowRecord>) {
         if rows.is_empty() {
             return;
         }
@@ -1151,7 +1133,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(100));
         let (mut store, report) = TsStore::open(vfs.clone(), small_opts()).unwrap();
         assert_eq!(report, RecoveryReport::default());
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         // Staged rows are invisible until commit.
         assert!(store.scan().unwrap().is_empty());
         store.commit().unwrap();
@@ -1170,7 +1152,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(101));
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
         let rows: Vec<RowRecord> = (0..10).map(|i| row("s", "f", i, i as f64)).collect();
-        store.append(&rows);
+        store.append(rows);
         store.commit().unwrap();
         assert_eq!(store.chunk_count(), 1);
         assert_eq!(store.memtable_rows(), 0);
@@ -1188,10 +1170,10 @@ mod tests {
     fn compaction_merges_lww_and_enforces_retention() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(102));
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 5, 5.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 5, 5.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "f", 5, 50.0), row("s", "f", 9, 9.0)]);
+        store.append(vec![row("s", "f", 5, 50.0), row("s", "f", 9, 9.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         assert_eq!(store.chunk_count(), 2);
@@ -1214,10 +1196,13 @@ mod tests {
     fn retention_prunes_memtable_and_disk() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(103));
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "old", 1, 1.0), row("s", "new", 100, 2.0)]);
+        store.append(vec![row("s", "old", 1, 1.0), row("s", "new", 100, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "mem_old", 2, 3.0), row("s", "mem_new", 200, 4.0)]);
+        store.append(vec![
+            row("s", "mem_old", 2, 3.0),
+            row("s", "mem_new", 200, 4.0),
+        ]);
         store.commit().unwrap();
         store.enforce_retention(50).unwrap();
         let left = store.scan().unwrap();
@@ -1229,7 +1214,7 @@ mod tests {
     fn compact_drop_everything_leaves_no_chunks() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(104));
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         let report = store.enforce_retention(10).unwrap().unwrap();
@@ -1244,7 +1229,7 @@ mod tests {
         let disk = MemDisk::new(105);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         disk.schedule_fault(FaultPlan {
             crash_at_op: disk.ops_done() + 1,
             mode: FaultMode::CleanStop,
@@ -1259,7 +1244,7 @@ mod tests {
         let disk = MemDisk::new(106);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         // Chunk write is create+append+sync (3 ops); crash on the WAL
         // reset right after, leaving rows in both chunk and WAL.
@@ -1285,7 +1270,7 @@ mod tests {
         let disk = MemDisk::new(107);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         // Smash the chunk.
@@ -1301,7 +1286,7 @@ mod tests {
         assert_eq!(report.chunks_loaded, 0);
         assert!(store.scan().unwrap().is_empty());
         // New flushes never reuse the damaged file's sequence number.
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         assert_eq!(store.chunk_seqs(), &[1]);
@@ -1312,10 +1297,10 @@ mod tests {
         let disk = MemDisk::new(109);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "f", 3, 3.0)]);
+        store.append(vec![row("s", "f", 3, 3.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         // Rot one payload byte of chunk 0 (keep the magic intact).
@@ -1347,7 +1332,7 @@ mod tests {
         let disk = MemDisk::new(110);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         let name = chunk_name(0);
@@ -1368,7 +1353,7 @@ mod tests {
         // quarantined sequence number via the evidence file.
         let (mut store, report) = TsStore::open(vfs, small_opts()).unwrap();
         assert_eq!(report.chunks_skipped, 0);
-        store.append(&[row("s", "f", 9, 9.0)]);
+        store.append(vec![row("s", "f", 9, 9.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         assert_eq!(store.chunk_seqs(), &[1]);
@@ -1380,10 +1365,10 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(108));
         let obs = StoreObs::new(&registry, "influx");
         let (mut store, _) = TsStore::open_with_obs(vfs, small_opts(), Some(obs)).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "f", 3, 3.0)]);
+        store.append(vec![row("s", "f", 3, 3.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         store.compact(None).unwrap().unwrap();
@@ -1408,7 +1393,7 @@ mod tests {
             let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
             let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
             for i in 0..20i64 {
-                store.append(&[row("cpu,host=a", "_cpu0", i * 500, 20.0 + i as f64)]);
+                store.append(vec![row("cpu,host=a", "_cpu0", i * 500, 20.0 + i as f64)]);
                 store.commit().unwrap();
             }
             store.flush().unwrap();

@@ -118,7 +118,7 @@ fn run_case(seed: u64, batches: &[Vec<RowRecord>], plan: Option<FaultPlan>) -> C
     let (mut store, _) = TsStore::open(vfs.clone(), opts).expect("fresh open cannot fail");
     let mut acked = 0usize;
     for batch in batches {
-        store.append(batch);
+        store.append(batch.clone());
         match store.commit() {
             Ok(_) => acked += 1,
             Err(_) => break,
@@ -274,7 +274,7 @@ fn recovered_store_accepts_new_writes() {
         };
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
         for batch in &batches {
-            store.append(batch);
+            store.append(batch.clone());
             if store.commit().is_err() {
                 break;
             }
@@ -283,7 +283,7 @@ fn recovered_store_accepts_new_writes() {
         disk.restart();
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
         let sentinel = RowRecord::new("post,host=x", "alive", 9_999_999, ColumnValue::Bool(true));
-        store.append(std::slice::from_ref(&sentinel));
+        store.append(vec![sentinel.clone()]);
         store.commit().unwrap();
         drop(store);
         let (mut store, _) = TsStore::open(vfs, opts).unwrap();
@@ -319,7 +319,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
         let batches: Vec<Vec<RowRecord>> = (0..6).map(|i| gen_batch(&mut rng, i)).collect();
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
         for batch in &batches {
-            store.append(batch);
+            store.append(batch.clone());
             store.commit().expect("no fault scheduled yet");
         }
         // Flip a durable bit while one more commit is in flight.
@@ -327,7 +327,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
             crash_at_op: disk.ops_done() + 2,
             mode: FaultMode::BitFlip,
         });
-        store.append(&gen_batch(&mut rng, 6));
+        store.append(gen_batch(&mut rng, 6));
         assert!(store.commit().is_err(), "seed {seed}: fault did not fire");
         drop(store);
         disk.restart();
@@ -367,7 +367,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
         }
         // Recovery rewrote the log to the valid prefix: a second open is
         // clean, byte-identical, and the store accepts new writes.
-        store.append(&[RowRecord::new(
+        store.append(vec![RowRecord::new(
             "post,host=x",
             "alive",
             9_999_999,

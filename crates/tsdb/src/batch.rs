@@ -1,13 +1,12 @@
 //! Columnar batch ingest: struct-of-arrays buffers that turn many points
 //! into one series-interned, group-committed write.
 //!
-//! The row-at-a-time path pays per point: a canonical-key render, a shard
-//! hash, a series map lookup, and — in durable mode — one WAL frame and
-//! one group commit. [`ColumnarBatch`] amortizes all four: points are
+//! Every write goes through [`crate::Database::ingest`], which builds a
+//! [`ColumnarBatch`] — a single point is a batch of one. Points are
 //! transposed into per-series columns (`ts[]` + `fields[]`), each unique
-//! series is rendered/hashed/interned **once** per batch, and the engine
-//! writes the whole batch as **one** WAL frame followed by **one** group
-//! commit ([`crate::Database::write_batch`]).
+//! series is hashed and resolved in storage **once** per batch, and the
+//! engine writes the whole batch as **one** WAL frame followed by **one**
+//! group commit.
 //!
 //! Atomicity falls out of the WAL framing: `encode_row_batch` wraps every
 //! row of an `append` call in a single `[len][crc][payload]` frame, and
@@ -15,9 +14,9 @@
 //! therefore replays the entire batch or none of it — never a prefix
 //! (`pcp/tests/batch_crash.rs` pins this with seeded MemDisk faults).
 //!
-//! Equivalence with row-at-a-time ingest is *bit-exact*, pinned by the
-//! `PMOVE_BATCH_CASES` differential suite. The two order contracts that
-//! make it hold:
+//! Equivalence between one batch and the same points written one at a
+//! time is *bit-exact*, pinned by the `PMOVE_BATCH_CASES` differential
+//! suite. The two order contracts that make it hold:
 //!
 //! * **series-id order**: ids are allocated at first appearance, and ids
 //!   define the canonical `(timestamp, series id)` row order every query
@@ -33,30 +32,23 @@ use crate::engine::column_of_field;
 use crate::line_protocol::render_series_key;
 use crate::point::Point;
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, shard_of_series, Row, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::{series_hash, shard_of_series, Row, Storage, DEFAULT_SHARD_COUNT};
 use crate::value::FieldValue;
 use pmove_store::RowRecord;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// FNV-1a for the batch's series-grouping map: the keys are short strings
-/// hashed millions of times per ingest run, where SipHash's setup cost
-/// dominates. Grouping is an in-batch implementation detail, so the
-/// weaker hash never affects placement or query results.
+/// The batch's series-grouping map is keyed by [`series_hash`], which is
+/// already an FNV-1a digest; hashing it again would only cost time.
 #[derive(Default)]
-struct FnvHasher(u64);
+struct PassThroughHasher(u64);
 
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+impl Hasher for PassThroughHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn write_u64(&mut self, h: u64) {
         self.0 = h;
     }
 
@@ -87,14 +79,15 @@ impl Default for BatchConfig {
 }
 
 /// Struct-of-arrays columns for one series within a batch: timestamps and
-/// field sets in arrival order, plus the interning work (canonical render,
-/// shard hash) done once instead of once per point.
+/// field sets in arrival order, plus the placement hash computed once
+/// instead of once per point.
 #[derive(Debug)]
 pub struct SeriesColumns {
     /// Series identity.
     pub key: SeriesKey,
-    /// Canonical (unescaped) key, the shard-placement hash input.
-    pub canonical: String,
+    /// [`series_hash`] of the key: the FNV-1a of its canonical
+    /// (unescaped) form, which storage places the series by.
+    pub hash: u64,
     /// Home shard under the fixed default layout.
     pub shard: usize,
     /// Timestamps in arrival order.
@@ -104,7 +97,7 @@ pub struct SeriesColumns {
 }
 
 /// A set of points transposed into per-series columns, series kept in
-/// first-appearance order (the id-allocation order the row path uses).
+/// first-appearance order (the order storage allocates their ids in).
 #[derive(Debug)]
 pub struct ColumnarBatch {
     series: Vec<SeriesColumns>,
@@ -117,35 +110,40 @@ pub struct ColumnarBatch {
 }
 
 impl ColumnarBatch {
-    /// Transpose points into columns. Each unique series is interned once
-    /// (one `SeriesKey` clone, one canonical render, one shard hash).
+    /// Transpose points into columns. Each point's series is hashed in
+    /// place; a series' key moves out of its first point, never cloned.
     pub fn build(points: Vec<Point>) -> ColumnarBatch {
         let total = points.len();
         let mut series: Vec<SeriesColumns> = Vec::new();
         let mut order: Vec<(u32, u32)> = Vec::with_capacity(total);
-        let mut index: HashMap<SeriesKey, usize, BuildHasherDefault<FnvHasher>> =
+        let mut index: HashMap<u64, usize, BuildHasherDefault<PassThroughHasher>> =
             HashMap::default();
         for point in points {
-            let key = SeriesKey {
-                measurement: point.measurement,
-                tags: point.tags,
+            let hash = series_hash(&point.measurement, &point.tags);
+            let same = |sc: &SeriesColumns| {
+                sc.key.measurement == point.measurement && sc.key.tags == point.tags
             };
-            let slot = match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let canonical = key.canonical();
-                    let shard = shard_of_key(&canonical, DEFAULT_SHARD_COUNT);
-                    series.push(SeriesColumns {
-                        key: key.clone(),
-                        canonical,
-                        shard,
-                        ts: Vec::new(),
-                        fields: Vec::new(),
-                    });
-                    index.insert(key, series.len() - 1);
-                    series.len() - 1
-                }
+            let found = match index.get(&hash) {
+                Some(&i) if same(&series[i]) => Some(i),
+                // A 64-bit hash collision between two series: rare enough
+                // that a linear scan is the whole story.
+                Some(_) => series.iter().position(same),
+                None => None,
             };
+            let slot = found.unwrap_or_else(|| {
+                index.entry(hash).or_insert(series.len());
+                series.push(SeriesColumns {
+                    key: SeriesKey {
+                        measurement: point.measurement,
+                        tags: point.tags,
+                    },
+                    hash,
+                    shard: (hash % DEFAULT_SHARD_COUNT as u64) as usize,
+                    ts: Vec::new(),
+                    fields: Vec::new(),
+                });
+                series.len() - 1
+            });
             order.push((slot as u32, series[slot].ts.len() as u32));
             series[slot].ts.push(point.timestamp);
             series[slot].fields.push(point.fields);
@@ -212,23 +210,29 @@ impl ColumnarBatch {
         rows
     }
 
-    /// Apply the batch to storage: one series resolution per unique
-    /// series, in first-appearance order so id allocation matches the
-    /// row-at-a-time path.
-    pub(crate) fn apply(self, storage: &mut Storage) {
-        for sc in self.series {
-            let rows: Vec<Row> = sc
+    /// Field sets of every point, series-major.
+    pub(crate) fn field_sets(&self) -> impl Iterator<Item = &BTreeMap<String, FieldValue>> {
+        self.series.iter().flat_map(|sc| &sc.fields)
+    }
+
+    /// Move the batch's rows into storage: one series resolution per
+    /// unique series, in first-appearance order so id allocation matches
+    /// writing the points one at a time. The field sets move out; keys and
+    /// timestamps stay for the caller's bookkeeping.
+    pub(crate) fn apply(&mut self, storage: &mut Storage) {
+        for sc in &mut self.series {
+            let fields = std::mem::take(&mut sc.fields);
+            let rows = sc
                 .ts
-                .into_iter()
-                .zip(sc.fields)
-                .map(|(timestamp, fields)| Row { timestamp, fields })
-                .collect();
-            storage.insert_series_rows_placed(&sc.key, Some(&sc.canonical), rows);
+                .iter()
+                .zip(fields)
+                .map(|(&timestamp, fields)| Row { timestamp, fields });
+            storage.insert_series_rows(&sc.key, sc.hash, rows);
         }
     }
 }
 
-/// Outcome of one [`crate::Database::write_batch`] call.
+/// Outcome of one [`crate::Database::ingest`] call.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// Per-point results in arrival order (`EmptyFields` and limiter
@@ -245,6 +249,10 @@ pub struct BatchOutcome {
     /// Modeled WAL group-commit cost for the whole batch (0 when
     /// memory-only or nothing was accepted).
     pub commit_ns: u64,
+    /// Modeled end of the ingest spans on the virtual clock, so a traced
+    /// caller can close its own span after the ingest: the trace's start
+    /// when nothing was accepted, 0 when untraced.
+    pub end_ns: u64,
 }
 
 impl BatchOutcome {

@@ -6,13 +6,13 @@ use crate::batch::{BatchOutcome, ColumnarBatch};
 use crate::cache::{CacheLookup, QueryCache};
 use crate::error::TsdbError;
 use crate::exec::{self, ExecMode, ExecStats};
-use crate::line_protocol::{parse_series_key, render_series_key};
+use crate::line_protocol::parse_series_key;
 use crate::point::Point;
 use crate::query::{Query, QueryResult};
 use crate::retention::RetentionPolicy;
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::Storage;
 use crate::subscribe::{Subscription, SubscriptionHub};
 use crate::value::FieldValue;
 use crossbeam::channel::Receiver;
@@ -24,7 +24,7 @@ use pmove_store::{
     StoreOptions, TsStore, Vfs,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Measurement holding gap-marker annotation points for time ranges the
 /// durable store lost to quarantined chunks. Matches the marker
@@ -53,24 +53,6 @@ fn field_of_column(v: ColumnValue) -> FieldValue {
     }
 }
 
-/// Flatten a point into durable rows: one per field, filed under the
-/// canonical series key.
-fn rows_of_point(point: &Point) -> Vec<RowRecord> {
-    let series = render_series_key(&point.measurement, &point.tags);
-    point
-        .fields
-        .iter()
-        .map(|(k, v)| {
-            RowRecord::new(
-                series.clone(),
-                k.clone(),
-                point.timestamp,
-                column_of_field(v),
-            )
-        })
-        .collect()
-}
-
 /// Mark every stored row's rollup bucket dirty — used when tiers are
 /// first enabled or after storage is rebuilt wholesale from the durable
 /// store, so the next tick folds the full history.
@@ -86,6 +68,26 @@ fn mark_all_rows(rs: &mut RollupStore, storage: &Storage) {
         }
     }
 }
+
+/// Where an ingested point comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Origin {
+    /// A client write: admitted through the [`IngestLimiter`] and counted
+    /// in the [`IngestStats`] ledger and the `tsdb.points_*` counters.
+    Client,
+    /// A point replicated from another node (hinted-handoff replay or
+    /// anti-entropy repair). It bypasses the limiter and the client
+    /// ledger — the replication coordinator owns value accounting, and a
+    /// repaired cell was already counted when it was first accepted — and
+    /// counts `tsdb.repl.remote_applied` instead. The WAL barrier, the
+    /// live publish, and the write-version bump apply as for clients.
+    Remote,
+}
+
+/// `(tracer, parent span, modeled start)` for a traced
+/// [`Database::ingest`]: its modeled spans nest under the parent, laid
+/// out from the start on the virtual clock.
+pub type IngestTrace<'a> = (&'a Tracer, TraceContext, u64);
 
 /// Models the maximum sustained point-insertion rate of the database.
 ///
@@ -212,6 +214,9 @@ struct EngineObs {
     restore_rows: Arc<Counter>,
     restore_replayed_records: Arc<Counter>,
     restore_dedup_rows: Arc<Counter>,
+    // Replicated-write accounting, registered on the first remote write
+    // so non-replicated databases export no such series.
+    remote_applied: OnceLock<Arc<Counter>>,
 }
 
 impl EngineObs {
@@ -223,6 +228,11 @@ impl EngineObs {
     const QUERY_BASE_NS: u64 = 25_000;
     /// Modelled per-returned-row scan cost (ns).
     const QUERY_PER_ROW_NS: u64 = 900;
+
+    /// Modelled cost of ingesting one point carrying `values` fields.
+    fn modeled_ingest_ns(values: u64) -> u64 {
+        Self::INGEST_BASE_NS + Self::INGEST_PER_VALUE_NS * values
+    }
 
     fn new(registry: Arc<Registry>) -> EngineObs {
         let c = |name: &str| registry.counter(name, &[]);
@@ -261,6 +271,7 @@ impl EngineObs {
             restore_rows: c("tsdb.restore.rows_restored"),
             restore_replayed_records: c("tsdb.restore.records_replayed"),
             restore_dedup_rows: c("tsdb.restore.rows_deduped"),
+            remote_applied: OnceLock::new(),
             registry,
         }
     }
@@ -676,116 +687,191 @@ impl Database {
         *self.limiter.lock() = limiter;
     }
 
-    /// Write one point. Fails on empty fields or limiter rejection; on
-    /// success the point is stored, counted, and published to subscribers.
+    /// Write one point: a batch of one through [`Database::ingest`]. Fails
+    /// on empty fields or limiter rejection; on success the point is
+    /// stored, counted, and published to subscribers.
     pub fn write_point(&self, point: Point) -> Result<(), TsdbError> {
-        self.write_point_inner(point, None).map(|_| ())
+        let mut out = self.ingest(vec![point], Origin::Client, None)?;
+        out.results.pop().expect("one result per point")
     }
 
-    /// Like [`Database::write_point`] but nests modeled child spans — a
-    /// `tsdb.ingest` wrapper around the WAL group commit (durable mode
-    /// only) and the shard ingest — under `parent`, laid out from
-    /// `start_ns` on the virtual clock. Returns the write result plus
-    /// the modeled end timestamp so the caller can close its own span
-    /// after the ingest.
-    pub fn write_point_traced(
-        &self,
-        point: Point,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<(), TsdbError>, u64) {
-        match self.write_point_inner(point, Some((tracer, parent, start_ns))) {
-            Ok(end_ns) => (Ok(()), end_ns),
-            Err(e) => (Err(e), start_ns),
-        }
-    }
-
-    /// Shared write path. `trace`, when present, is `(tracer, parent
-    /// span, modeled start)`; on success the returned timestamp is the
-    /// modeled ingest end on the virtual clock (0 when untraced).
-    fn write_point_inner(
-        &self,
-        point: Point,
-        trace: Option<(&Tracer, TraceContext, u64)>,
-    ) -> Result<u64, TsdbError> {
-        {
-            let mut stats = self.stats.lock();
-            stats.points_offered += 1;
-        }
+    /// Write a batch of client points through [`Database::ingest`] and
+    /// count it in the `tsdb.batch.*` series. A WAL commit error fails the
+    /// entire call before anything is counted inserted or published; the
+    /// caller may retry the same batch (last write wins makes the retry
+    /// idempotent).
+    pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
+        let out = self.ingest(points, Origin::Client, None)?;
         if let Some(o) = &self.obs {
-            o.points_offered.inc();
-        }
-        if point.fields.is_empty() {
-            return Err(TsdbError::EmptyFields);
-        }
-        let n = point.field_count() as u64;
-        if let Err(e) = self.limiter.lock().admit(point.timestamp, n) {
-            self.stats.lock().points_rejected += 1;
-            if let Some(o) = &self.obs {
-                o.points_rejected.inc();
+            o.batch_batches.inc();
+            o.batch_points.add(out.accepted as u64);
+            o.batch_rejected.add(out.rejected as u64);
+            if self.store.is_some() && out.accepted > 0 {
+                o.batch_wal_frames.inc();
             }
-            return Err(e);
         }
-        // Durability barrier: when a store is attached, the point is
-        // framed into the WAL and group-committed before it is counted,
-        // published, or made queryable — an acknowledged write is a
-        // durable write.
-        let mut commit_ns = 0u64;
-        if let Some(store) = &self.store {
-            let rows = rows_of_point(&point);
-            let mut st = store.lock();
-            st.append(&rows);
-            let info = st.commit()?;
-            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
-        }
-        let zero_values = point.fields.values().filter(|v| v.is_zero()).count() as u64;
+        Ok(out)
+    }
+
+    /// The one ingest path. Admission happens per point in arrival order:
+    /// empty field sets are refused, and [`Origin::Client`] points pass
+    /// the ingest limiter (windowed on point timestamps) and the
+    /// [`IngestStats`] ledger. The admitted points are pivoted into
+    /// per-series columns, framed into **one** WAL record and
+    /// group-committed once — an acknowledged write is a durable write,
+    /// and a crash mid-frame replays or drops the whole batch, never a
+    /// prefix (see `store::wal` framing). Only then are they counted,
+    /// published to live subscribers in arrival order, inserted per shard,
+    /// marked dirty in the rollup tiers, and their measurements' write
+    /// versions bumped, so the query cache can never serve pre-write rows.
+    ///
+    /// `trace`, when present, is `(tracer, parent span, modeled start)`:
+    /// the modeled `tsdb.ingest` spans nest under the parent, and
+    /// [`BatchOutcome::end_ns`] is where they end.
+    pub fn ingest(
+        &self,
+        points: Vec<Point>,
+        origin: Origin,
+        trace: Option<IngestTrace<'_>>,
+    ) -> Result<BatchOutcome, TsdbError> {
+        let total = points.len();
+        let mut results = Vec::with_capacity(total);
+        let mut admitted = Vec::with_capacity(total);
+        let mut rejected = 0usize;
         {
-            let mut stats = self.stats.lock();
-            stats.points_inserted += 1;
-            stats.values_inserted += n;
-            stats.zero_values_inserted += zero_values;
-        }
-        let modeled_ns = EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n;
-        if let Some(o) = &self.obs {
-            o.points_inserted.inc();
-            o.values_inserted.add(n);
-            o.zero_values_inserted.add(zero_values);
-            match &trace {
-                // The trace exemplar ties the histogram's tail back to a
-                // concrete trace in the flight recorder.
-                Some((_, ctx, _)) if ctx.sampled => {
-                    o.ingest_ns.record_exemplar(modeled_ns, ctx.trace.0)
+            // Stats and limiter move together so a concurrent writer can't
+            // interleave between the offered tick and the admission
+            // decision. Remote writes take neither.
+            let mut ledger =
+                (origin == Origin::Client).then(|| (self.stats.lock(), self.limiter.lock()));
+            for point in points {
+                let verdict = if point.fields.is_empty() {
+                    Err(TsdbError::EmptyFields)
+                } else if let Some((_, limiter)) = &mut ledger {
+                    limiter.admit(point.timestamp, point.field_count() as u64)
+                } else {
+                    Ok(())
+                };
+                if let Some((stats, _)) = &mut ledger {
+                    stats.points_offered += 1;
+                    if matches!(verdict, Err(TsdbError::IngestOverloaded { .. })) {
+                        stats.points_rejected += 1;
+                        rejected += 1;
+                    }
                 }
-                _ => o.ingest_ns.record(modeled_ns),
+                if verdict.is_ok() {
+                    admitted.push(point);
+                }
+                results.push(verdict);
             }
         }
-        let end_ns = self.trace_ingest(&point, commit_ns, modeled_ns, &trace);
-        self.hub.publish(&point);
-        let measurement = point.measurement.clone();
-        let ts = point.timestamp;
-        self.storage.write().insert(point);
-        self.mark_rollup_write(&measurement, ts);
-        self.bump_version(&measurement);
-        Ok(end_ns)
+        if let (Some(o), Origin::Client) = (&self.obs, origin) {
+            o.points_offered.add(total as u64);
+            o.points_rejected.add(rejected as u64);
+        }
+        let accepted = admitted.len();
+        let mut out = BatchOutcome {
+            results,
+            accepted,
+            rejected,
+            series: 0,
+            shards: 0,
+            commit_ns: 0,
+            end_ns: trace.map_or(0, |(_, _, start_ns)| start_ns),
+        };
+        if accepted == 0 {
+            return Ok(out);
+        }
+        let mut batch = ColumnarBatch::build(admitted);
+        if let Some(store) = &self.store {
+            let mut st = store.lock();
+            st.append(batch.wal_rows());
+            let info = st.commit()?;
+            out.commit_ns = st.modeled_commit_ns(info.bytes).max(1);
+        }
+        out.series = batch.series_count();
+        out.shards = batch.shard_spread();
+        self.count_ingest(&batch, origin, trace);
+        out.end_ns = self.trace_ingest(&batch, out.commit_ns, trace);
+        // Reconstructing points clones tag/field maps, so skip it
+        // entirely when nobody is listening.
+        if !self.hub.is_empty() {
+            for p in batch.arrival_points() {
+                self.hub.publish(&p);
+            }
+        }
+        batch.apply(&mut self.storage.write());
+        // Lock order: storage (released above) before rollups.
+        if let Some(rs) = self.rollups.write().as_mut() {
+            for sc in batch.series() {
+                for &ts in &sc.ts {
+                    rs.note_write(&sc.key.measurement, ts);
+                }
+            }
+        }
+        for sc in batch.series() {
+            self.bump_version(&sc.key.measurement);
+        }
+        Ok(out)
     }
 
-    /// Lay out the modeled ingest spans for one accepted point:
+    /// Count a committed batch: client points in the [`IngestStats`]
+    /// ledger, the `tsdb.*` counters, and one modelled `tsdb.ingest_ns`
+    /// sample each (with a trace exemplar when sampled); remote points in
+    /// `tsdb.repl.remote_applied` alone — a repaired cell was already
+    /// counted when it was first accepted.
+    fn count_ingest(&self, batch: &ColumnarBatch, origin: Origin, trace: Option<IngestTrace<'_>>) {
+        if origin == Origin::Remote {
+            if let Some(o) = &self.obs {
+                o.remote_applied
+                    .get_or_init(|| o.registry.counter("tsdb.repl.remote_applied", &[]))
+                    .add(batch.points as u64);
+            }
+            return;
+        }
+        let exemplar = trace.and_then(|(_, ctx, _)| ctx.sampled.then_some(ctx.trace.0));
+        let (mut values, mut zeros) = (0u64, 0u64);
+        for fields in batch.field_sets() {
+            let n = fields.len() as u64;
+            values += n;
+            zeros += fields.values().filter(|v| v.is_zero()).count() as u64;
+            if let Some(o) = &self.obs {
+                let modeled_ns = EngineObs::modeled_ingest_ns(n);
+                match exemplar {
+                    // The trace exemplar ties the histogram's tail back to
+                    // a concrete trace in the flight recorder.
+                    Some(id) => o.ingest_ns.record_exemplar(modeled_ns, id),
+                    None => o.ingest_ns.record(modeled_ns),
+                }
+            }
+        }
+        {
+            let mut stats = self.stats.lock();
+            stats.points_inserted += batch.points as u64;
+            stats.values_inserted += values;
+            stats.zero_values_inserted += zeros;
+        }
+        if let Some(o) = &self.obs {
+            o.points_inserted.add(batch.points as u64);
+            o.values_inserted.add(values);
+            o.zero_values_inserted.add(zeros);
+        }
+    }
+
+    /// Lay out the modeled ingest spans for a committed batch:
     /// `tsdb.ingest` wrapping `store.wal.group_commit` (durable mode
-    /// only, `commit_ns > 0`) then `tsdb.shard_ingest` (status carries
-    /// the shard index the point's canonical series key routes to).
-    /// Returns the modeled end timestamp (0 when untraced).
+    /// only, `commit_ns > 0`) then one `tsdb.shard_ingest` per series,
+    /// its status naming the shard storage places the series on. Returns
+    /// the modeled end timestamp (0 when untraced).
     fn trace_ingest(
         &self,
-        point: &Point,
+        batch: &ColumnarBatch,
         commit_ns: u64,
-        ingest_ns: u64,
-        trace: &Option<(&Tracer, TraceContext, u64)>,
+        trace: Option<IngestTrace<'_>>,
     ) -> u64 {
         let Some((tracer, parent, start_ns)) = trace else {
             return 0;
         };
-        let (tracer, parent, start_ns) = (*tracer, *parent, *start_ns);
         let ingest = tracer.child(parent, "tsdb.ingest", start_ns);
         let mut cursor = start_ns;
         if commit_ns > 0 {
@@ -793,73 +879,18 @@ impl Database {
             tracer.end_span(wal, cursor + commit_ns);
             cursor += commit_ns;
         }
-        let series = render_series_key(&point.measurement, &point.tags);
-        let shard = shard_of_key(&series, DEFAULT_SHARD_COUNT);
-        let si = tracer.child(ingest, "tsdb.shard_ingest", cursor);
-        tracer.end_span_status(si, cursor + ingest_ns, &format!("shard-{shard:02}"));
-        cursor += ingest_ns;
+        for sc in batch.series() {
+            let ingest_ns: u64 = sc
+                .fields
+                .iter()
+                .map(|f| EngineObs::modeled_ingest_ns(f.len() as u64))
+                .sum();
+            let si = tracer.child(ingest, "tsdb.shard_ingest", cursor);
+            tracer.end_span_status(si, cursor + ingest_ns, &format!("shard-{:02}", sc.shard));
+            cursor += ingest_ns;
+        }
         tracer.end_span(ingest, cursor);
         cursor
-    }
-
-    /// Apply a point replicated from another node (hinted-handoff replay
-    /// or anti-entropy repair). Unlike [`Database::write_point`] this
-    /// bypasses the ingest limiter and the client-facing [`IngestStats`]
-    /// ledger — the replication coordinator owns value accounting and a
-    /// repaired cell was already counted when it was first accepted — but
-    /// it keeps the WAL durability barrier, the live-subscription publish,
-    /// and the per-measurement write-version bump, so the LRU query cache
-    /// can never serve pre-repair rows.
-    pub fn apply_remote(&self, point: Point) -> Result<(), TsdbError> {
-        self.apply_remote_inner(point, None).map(|_| ())
-    }
-
-    /// Like [`Database::apply_remote`] but nests the modeled ingest
-    /// spans (WAL group commit + shard ingest) under `parent` — the
-    /// hinted-handoff replay path of an end-to-end trace. Returns the
-    /// result plus the modeled end timestamp.
-    pub fn apply_remote_traced(
-        &self,
-        point: Point,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<(), TsdbError>, u64) {
-        match self.apply_remote_inner(point, Some((tracer, parent, start_ns))) {
-            Ok(end_ns) => (Ok(()), end_ns),
-            Err(e) => (Err(e), start_ns),
-        }
-    }
-
-    fn apply_remote_inner(
-        &self,
-        point: Point,
-        trace: Option<(&Tracer, TraceContext, u64)>,
-    ) -> Result<u64, TsdbError> {
-        if point.fields.is_empty() {
-            return Err(TsdbError::EmptyFields);
-        }
-        let mut commit_ns = 0u64;
-        if let Some(store) = &self.store {
-            let rows = rows_of_point(&point);
-            let mut st = store.lock();
-            st.append(&rows);
-            let info = st.commit()?;
-            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
-        }
-        if let Some(o) = &self.obs {
-            o.registry.counter("tsdb.repl.remote_applied", &[]).inc();
-        }
-        let n = point.field_count() as u64;
-        let modeled_ns = EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n;
-        let end_ns = self.trace_ingest(&point, commit_ns, modeled_ns, &trace);
-        self.hub.publish(&point);
-        let measurement = point.measurement.clone();
-        let ts = point.timestamp;
-        self.storage.write().insert(point);
-        self.mark_rollup_write(&measurement, ts);
-        self.bump_version(&measurement);
-        Ok(end_ns)
     }
 
     /// Current write version of one measurement: bumped on every accepted
@@ -887,181 +918,6 @@ impl Database {
                 }
             }
         }
-    }
-
-    /// Write a batch; returns how many points were accepted. Rejected points
-    /// are dropped, matching the lossy fire-and-forget transport of PCP.
-    pub fn write_points(&self, points: Vec<Point>) -> usize {
-        points
-            .into_iter()
-            .map(|p| self.write_point(p))
-            .filter(Result::is_ok)
-            .count()
-    }
-
-    /// Write a batch given as line protocol text.
-    pub fn write_line_protocol(&self, text: &str) -> Result<usize, TsdbError> {
-        let points = crate::line_protocol::parse_batch(text)?;
-        Ok(self.write_points(points))
-    }
-
-    /// Columnar batched write path. Admission (empty-field checks, limiter
-    /// windows keyed on point timestamps, `points_offered`/`points_rejected`
-    /// accounting) happens per point in arrival order, so a stream pushed
-    /// through this path is observationally identical to row-at-a-time
-    /// [`Database::write_point`] calls — same accepted set, same ledger,
-    /// same stored rows bit for bit. What changes is the cost model: the
-    /// admitted points are pivoted into per-series columns, framed into
-    /// **one** WAL record, group-committed once, and bulk-inserted per
-    /// shard. Crash mid-frame replays or drops the whole batch — never a
-    /// prefix (see `store::wal` framing).
-    ///
-    /// A WAL commit error fails the entire call before anything is counted
-    /// inserted or published; the caller may retry the same batch (last
-    /// write wins makes the retry idempotent).
-    pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
-        let total = points.len();
-        let mut results = Vec::with_capacity(total);
-        let mut admitted = Vec::with_capacity(total);
-        let mut rejected = 0usize;
-        {
-            // Stats and limiter move together so a concurrent row-at-a-time
-            // writer can't interleave between the offered tick and the
-            // admission decision.
-            let mut stats = self.stats.lock();
-            let mut limiter = self.limiter.lock();
-            for point in points {
-                stats.points_offered += 1;
-                if point.fields.is_empty() {
-                    results.push(Err(TsdbError::EmptyFields));
-                    continue;
-                }
-                let n = point.field_count() as u64;
-                match limiter.admit(point.timestamp, n) {
-                    Ok(()) => {
-                        results.push(Ok(()));
-                        admitted.push(point);
-                    }
-                    Err(e) => {
-                        stats.points_rejected += 1;
-                        rejected += 1;
-                        results.push(Err(e));
-                    }
-                }
-            }
-        }
-        if let Some(o) = &self.obs {
-            o.points_offered.add(total as u64);
-            o.points_rejected.add(rejected as u64);
-        }
-        if admitted.is_empty() {
-            if let Some(o) = &self.obs {
-                o.batch_batches.inc();
-                o.batch_rejected.add(rejected as u64);
-            }
-            return Ok(BatchOutcome {
-                results,
-                accepted: 0,
-                rejected,
-                series: 0,
-                shards: 0,
-                commit_ns: 0,
-            });
-        }
-        let per_point: Vec<(u64, u64)> = admitted
-            .iter()
-            .map(|p| {
-                (
-                    p.field_count() as u64,
-                    p.fields.values().filter(|v| v.is_zero()).count() as u64,
-                )
-            })
-            .collect();
-        let accepted = admitted.len();
-        let batch = ColumnarBatch::build(admitted);
-        // Durability barrier: the whole batch rides one WAL frame and one
-        // group commit; acknowledgement implies the batch is durable.
-        let mut commit_ns = 0u64;
-        if let Some(store) = &self.store {
-            let rows = batch.wal_rows();
-            let mut st = store.lock();
-            st.append_owned(rows);
-            let info = st.commit()?;
-            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
-        }
-        let values: u64 = per_point.iter().map(|(n, _)| n).sum();
-        let zeros: u64 = per_point.iter().map(|(_, z)| z).sum();
-        {
-            let mut stats = self.stats.lock();
-            stats.points_inserted += accepted as u64;
-            stats.values_inserted += values;
-            stats.zero_values_inserted += zeros;
-        }
-        if let Some(o) = &self.obs {
-            o.points_inserted.add(accepted as u64);
-            o.values_inserted.add(values);
-            o.zero_values_inserted.add(zeros);
-            for (n, _) in &per_point {
-                o.ingest_ns
-                    .record(EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n);
-            }
-            o.batch_batches.inc();
-            o.batch_points.add(accepted as u64);
-            o.batch_rejected.add(rejected as u64);
-            if self.store.is_some() {
-                o.batch_wal_frames.inc();
-            }
-        }
-        // Subscribers observe points in arrival order, exactly as the
-        // row-at-a-time path publishes them. Reconstructing points clones
-        // tag/field maps, so skip it entirely when nobody is listening.
-        if !self.hub.is_empty() {
-            for p in batch.arrival_points() {
-                self.hub.publish(&p);
-            }
-        }
-        let series = batch.series_count();
-        let shards = batch.shard_spread();
-        let mark_rollups = self.rollups.read().is_some();
-        let rollup_marks: Vec<(String, Vec<i64>)> = if mark_rollups {
-            batch
-                .series()
-                .iter()
-                .map(|sc| (sc.key.measurement.clone(), sc.ts.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let measurements: std::collections::BTreeSet<String> = batch
-            .series()
-            .iter()
-            .map(|sc| sc.key.measurement.clone())
-            .collect();
-        {
-            let mut storage = self.storage.write();
-            batch.apply(&mut storage);
-        }
-        if !rollup_marks.is_empty() {
-            let mut guard = self.rollups.write();
-            if let Some(rs) = guard.as_mut() {
-                for (measurement, stamps) in &rollup_marks {
-                    for ts in stamps {
-                        rs.note_write(measurement, *ts);
-                    }
-                }
-            }
-        }
-        for m in &measurements {
-            self.bump_version(m);
-        }
-        Ok(BatchOutcome {
-            results,
-            accepted,
-            rejected,
-            series,
-            shards,
-            commit_ns,
-        })
     }
 
     /// Enable continuous-query rollup tiers with the given configuration.
@@ -1159,7 +1015,7 @@ impl Database {
         q: &Query,
         mode: ExecMode,
     ) -> Result<Arc<QueryResult>, TsdbError> {
-        self.query_inner(q, mode, None).0.map(|(r, _)| r)
+        self.query_inner(q, mode).map(|(r, _)| r)
     }
 
     /// Like [`Database::query_arc_with_mode`] but also reports whether the
@@ -1170,34 +1026,14 @@ impl Database {
         q: &Query,
         mode: ExecMode,
     ) -> Result<(Arc<QueryResult>, bool), TsdbError> {
-        self.query_inner(q, mode, None).0
-    }
-
-    /// Like [`Database::query_arc_with_mode`] but nests modeled query
-    /// spans — a `tsdb.query` wrapper with a planning child plus one
-    /// `tsdb.shard_scan` child per shard the executor visited (or a
-    /// `tsdb.query.cache_hit` child when the result cache serves the
-    /// rows) — under `parent`, laid out from `start_ns` on the virtual
-    /// clock. Returns the result plus the modeled end timestamp.
-    pub fn query_traced(
-        &self,
-        q: &Query,
-        mode: ExecMode,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<Arc<QueryResult>, TsdbError>, u64) {
-        let (res, end_ns) = self.query_inner(q, mode, Some((tracer, parent, start_ns)));
-        (res.map(|(r, _)| r), end_ns)
+        self.query_inner(q, mode)
     }
 
     fn query_inner(
         &self,
         q: &Query,
         mode: ExecMode,
-        trace: Option<(&Tracer, TraceContext, u64)>,
-    ) -> (Result<(Arc<QueryResult>, bool), TsdbError>, u64) {
-        let start_fallback = trace.as_ref().map(|(_, _, s)| *s).unwrap_or(0);
+    ) -> Result<(Arc<QueryResult>, bool), TsdbError> {
         // Capture the measurement's write version BEFORE executing: if a
         // write lands mid-query the entry is recorded under the older
         // version and fails validation on its next lookup — conservative,
@@ -1207,10 +1043,8 @@ impl Database {
             let version = self.measurement_version(&q.measurement);
             let key = q.normalized();
             if let Some(hit) = self.cache_lookup(&key, version) {
-                let rows = hit.rows.len() as u64;
-                self.record_query_served_traced(rows, &trace);
-                let end_ns = self.trace_query(rows, None, true, &trace);
-                return (Ok((hit, true)), end_ns);
+                self.record_query_served(hit.rows.len() as u64);
+                return Ok((hit, true));
             }
             (Some(key), version)
         } else {
@@ -1228,10 +1062,8 @@ impl Database {
         }
         match run {
             Ok((result, stats)) => {
-                let rows = result.rows.len() as u64;
-                self.record_query_served_traced(rows, &trace);
+                self.record_query_served(result.rows.len() as u64);
                 self.record_exec_stats(&stats);
-                let end_ns = self.trace_query(rows, Some(&stats), false, &trace);
                 let result = Arc::new(result);
                 if let Some(key) = cache_key {
                     let evicted = self.cache.lock().insert(
@@ -1245,73 +1077,23 @@ impl Database {
                         o.cache_evictions.add(evicted as u64);
                     }
                 }
-                (Ok((result, false)), end_ns)
+                Ok((result, false))
             }
             Err(e) => {
                 self.record_query_served(0);
-                (Err(e), start_fallback)
+                Err(e)
             }
         }
     }
 
-    /// Lay out the modeled query spans: `tsdb.query` wrapping a planning
-    /// child (or a cache-hit child) and the per-shard scan children. The
-    /// total duration equals the modeled `tsdb.query_ns` sample so the
-    /// trace tree and the histogram tell one story.
-    fn trace_query(
-        &self,
-        rows: u64,
-        stats: Option<&ExecStats>,
-        cache_hit: bool,
-        trace: &Option<(&Tracer, TraceContext, u64)>,
-    ) -> u64 {
-        let Some((tracer, parent, start_ns)) = trace else {
-            return 0;
-        };
-        let (tracer, parent, start_ns) = (*tracer, *parent, *start_ns);
-        let query = tracer.child(parent, "tsdb.query", start_ns);
-        let mut cursor = start_ns + EngineObs::QUERY_BASE_NS;
-        if cache_hit {
-            let hit = tracer.child(query, "tsdb.query.cache_hit", start_ns);
-            tracer.end_span(hit, cursor);
-        } else {
-            let plan = tracer.child(query, "tsdb.query.plan", start_ns);
-            tracer.end_span(plan, cursor);
-            let shards = stats.map(|s| s.shards_scanned).unwrap_or(0).max(1);
-            let mut remaining = EngineObs::QUERY_PER_ROW_NS * rows;
-            for i in 0..shards {
-                let slice = (remaining / (shards - i)).max(1);
-                let scan = tracer.child(query, "tsdb.shard_scan", cursor);
-                tracer.end_span(scan, cursor + slice);
-                cursor += slice;
-                remaining = remaining.saturating_sub(slice);
-            }
-        }
-        let end_ns =
-            cursor.max(start_ns + EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows);
-        tracer.end_span(query, end_ns);
-        end_ns
-    }
-
-    /// Legacy served-query accounting: one `tsdb.queries` tick plus the
+    /// Served-query accounting: one `tsdb.queries` tick plus the
     /// modelled latency — identical for executed and cache-served queries,
     /// so enabling the cache never changes the exported histograms.
     fn record_query_served(&self, rows: u64) {
-        self.record_query_served_traced(rows, &None);
-    }
-
-    /// [`Database::record_query_served`] with an optional trace exemplar
-    /// tying the histogram sample back to the flight recorder.
-    fn record_query_served_traced(&self, rows: u64, trace: &Option<(&Tracer, TraceContext, u64)>) {
         if let Some(o) = &self.obs {
             o.queries.inc();
-            let modeled_ns = EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows;
-            match trace {
-                Some((_, ctx, _)) if ctx.sampled => {
-                    o.query_ns.record_exemplar(modeled_ns, ctx.trace.0)
-                }
-                _ => o.query_ns.record(modeled_ns),
-            }
+            o.query_ns
+                .record(EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows);
         }
     }
 
@@ -1515,8 +1297,8 @@ mod tests {
         db.set_ingest_limiter(IngestLimiter::per_window(10, 3));
         // 5 single-field points in window [0, 10): only 3 admitted.
         let pts: Vec<Point> = (0..5).map(|i| pt(i, 1.0)).collect();
-        let accepted = db.write_points(pts);
-        assert_eq!(accepted, 3);
+        let out = db.write_batch(pts).unwrap();
+        assert_eq!(out.accepted, 3);
         assert_eq!(db.stats().points_rejected, 2);
         // next window admits again
         assert!(db.write_point(pt(10, 1.0)).is_ok());
@@ -1546,10 +1328,8 @@ mod tests {
     #[test]
     fn line_protocol_ingest() {
         let db = Database::new("test");
-        let n = db
-            .write_line_protocol("m,tag=o1 v=1 1\nm,tag=o1 v=2 2\n")
-            .unwrap();
-        assert_eq!(n, 2);
+        let points = crate::line_protocol::parse_batch("m,tag=o1 v=1 1\nm,tag=o1 v=2 2\n").unwrap();
+        assert!(db.write_batch(points).unwrap().all_accepted());
         let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
         assert_eq!(r.rows[1].values["v"], Some(2.0));
     }
@@ -1577,8 +1357,9 @@ mod tests {
         let reg = Registry::shared();
         let db = Database::with_obs("test", reg.clone());
         db.set_ingest_limiter(IngestLimiter::per_window(10, 3));
-        let pts: Vec<Point> = (0..5).map(|i| pt(i, (i % 2) as f64)).collect();
-        db.write_points(pts);
+        for i in 0..5 {
+            let _ = db.write_point(pt(i, (i % 2) as f64));
+        }
         db.query("SELECT \"v\" FROM \"m\"").unwrap();
         let st = db.stats();
         let snap = reg.snapshot();
@@ -1807,6 +1588,54 @@ mod tests {
             .unwrap();
         db.write_point(pt(2, 3.0)).unwrap();
         assert_eq!(db.cell_count(), 3);
+    }
+
+    #[test]
+    fn traced_ingest_names_the_shard_the_series_lives_on() {
+        use crate::storage::{shard_of_key, DEFAULT_SHARD_COUNT};
+        // A space is escaped in the line-protocol key but not in the
+        // canonical key storage places series by; the two hash apart.
+        let p = Point::new("m")
+            .tag("host", "rack 1")
+            .field("v", 1.0)
+            .timestamp(1);
+        let key = SeriesKey {
+            measurement: p.measurement.clone(),
+            tags: p.tags.clone(),
+        };
+        let expect = shard_of_key(&key.canonical(), DEFAULT_SHARD_COUNT);
+        let tracer = Tracer::new(1, pmove_obs::TraceConfig::default());
+        let root = tracer.start_trace("write", 0);
+        let db = Database::new("test");
+        let out = db
+            .ingest(vec![p], Origin::Client, Some((&tracer, root, 0)))
+            .unwrap();
+        tracer.finish_trace(root, out.end_ns, "inserted");
+        let tree = tracer.last_finished().unwrap();
+        let span = tree
+            .spans
+            .iter()
+            .find(|s| s.name == "tsdb.shard_ingest")
+            .unwrap();
+        assert_eq!(span.status, format!("shard-{expect:02}"));
+        let storage = db.storage.read();
+        let m = storage.measurement("m").unwrap();
+        assert_eq!(m.shard_of(m.matching_series(&[])[0]), Some(expect));
+    }
+
+    #[test]
+    fn single_point_writes_leave_the_batch_counters_alone() {
+        let reg = Registry::shared();
+        let db = Database::with_obs("test", reg.clone());
+        db.write_point(pt(1, 1.0)).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("tsdb.points_inserted", &[]), Some(1));
+        assert_eq!(snap.counter("tsdb.batch.batches", &[]), Some(0));
+        assert_eq!(snap.counter("tsdb.batch.points", &[]), Some(0));
+        db.write_batch(vec![pt(2, 1.0), pt(3, 1.0)]).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("tsdb.batch.batches", &[]), Some(1));
+        assert_eq!(snap.counter("tsdb.batch.points", &[]), Some(2));
     }
 
     #[test]

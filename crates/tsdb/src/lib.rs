@@ -64,7 +64,7 @@ pub use pmove_store as store;
 
 pub use batch::{BatchConfig, BatchIngester, BatchOutcome, ColumnarBatch};
 pub use cache::{QueryCache, DEFAULT_CACHE_CAPACITY};
-pub use engine::{Database, IngestLimiter, IngestStats, GAP_MEASUREMENT};
+pub use engine::{Database, IngestLimiter, IngestStats, IngestTrace, Origin, GAP_MEASUREMENT};
 pub use error::TsdbError;
 pub use exec::{ExecMode, ExecStats};
 pub use point::Point;

@@ -26,7 +26,7 @@
 //! leaf array; set root = FNV-1a over shard roots. Two replicas hold
 //! bit-identical data iff their roots agree.
 
-use crate::engine::Database;
+use crate::engine::{Database, Origin};
 use crate::error::TsdbError;
 use crate::exec::ExecMode;
 use crate::point::Point;
@@ -414,11 +414,11 @@ impl ReplicaSet {
                 let from_j = collect_rows(&self.replicas[j], &want);
                 for p in from_i {
                     report.cells_streamed += p.field_count() as u64;
-                    self.replicas[j].apply_remote(p)?;
+                    self.replicas[j].ingest(vec![p], Origin::Remote, None)?;
                 }
                 for p in from_j {
                     report.cells_streamed += p.field_count() as u64;
-                    self.replicas[i].apply_remote(p)?;
+                    self.replicas[i].ingest(vec![p], Origin::Remote, None)?;
                 }
             }
         }
@@ -846,7 +846,7 @@ mod tests {
                 b.values["v"].map(f64::to_bits)
             );
         }
-        // Repair re-entered through apply_remote, which keeps the WAL
+        // Repair re-entered through a remote ingest, which keeps the WAL
         // barrier: the healed cells are durable again.
         assert!(set.replica(1).is_durable());
     }
@@ -862,8 +862,12 @@ mod tests {
             r.write_point(pt("h0", 1, 1.0)).unwrap();
         }
         assert!(set.converged());
-        // apply_remote keeps the WAL barrier: remote rows are durable too.
-        set.replica(0).apply_remote(pt("h1", 2, 2.0)).unwrap();
+        // Remote ingest keeps the WAL barrier: remote rows are durable too.
+        let out = set
+            .replica(0)
+            .ingest(vec![pt("h1", 2, 2.0)], Origin::Remote, None)
+            .unwrap();
+        assert!(out.all_accepted());
         assert_eq!(set.replica(0).total_rows(), 2);
     }
 }

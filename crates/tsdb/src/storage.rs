@@ -35,39 +35,42 @@ pub const DEFAULT_SHARD_COUNT: usize = 16;
 /// Deterministic and dependency-free; the same function the durable layer
 /// could use to co-locate series on disk.
 pub fn shard_of_key(canonical_key: &str, shard_count: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical_key.as_bytes() {
+    (fnv1a(FNV_OFFSET, canonical_key.as_bytes()) % shard_count as u64) as usize
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (h % shard_count as u64) as usize
+    h
 }
 
-/// [`shard_of_key`] without materializing the canonical string: streams the
-/// exact byte sequence `SeriesKey::canonical` would render
-/// (`measurement,k=v,...`, tags in BTreeMap order) through the same FNV-1a
-/// state. The batch ingest queues route every incoming point through this,
-/// so placement stays identical to the row path at zero allocations.
+/// The full 64-bit FNV-1a hash [`shard_of_key`] reduces, computed without
+/// materializing the canonical string: streams the exact byte sequence
+/// `SeriesKey::canonical` would render (`measurement,k=v,...`, tags in
+/// BTreeMap order). Ingest hashes every point through this, so placement
+/// costs zero allocations.
+pub fn series_hash(measurement: &str, tags: &BTreeMap<String, String>) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, measurement.as_bytes());
+    for (k, v) in tags {
+        h = fnv1a(h, b",");
+        h = fnv1a(h, k.as_bytes());
+        h = fnv1a(h, b"=");
+        h = fnv1a(h, v.as_bytes());
+    }
+    h
+}
+
+/// [`shard_of_key`] of the series' canonical key, via [`series_hash`].
 pub fn shard_of_series(
     measurement: &str,
     tags: &BTreeMap<String, String>,
     shard_count: usize,
 ) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    feed(measurement.as_bytes());
-    for (k, v) in tags {
-        feed(b",");
-        feed(k.as_bytes());
-        feed(b"=");
-        feed(v.as_bytes());
-    }
-    (h % shard_count as u64) as usize
+    (series_hash(measurement, tags) % shard_count as u64) as usize
 }
 
 /// One stored sample: timestamp plus the point's field set.
@@ -246,23 +249,44 @@ impl Storage {
         self.shard_count
     }
 
-    /// Resolve `key` to its id and shard, allocating both on first
-    /// appearance. `canonical` is the precomputed canonical key when the
-    /// caller already rendered it (the columnar batch path); `None`
-    /// renders on demand. Either way the shard is the FNV-1a placement
-    /// [`shard_of_key`] defines, so batched and row-at-a-time inserts
-    /// agree on layout.
-    fn resolve_series(&mut self, key: &SeriesKey, canonical: Option<&str>) -> (SeriesId, usize) {
-        let meta = self.meta.entry(key.measurement.clone()).or_default();
-        match meta.series_ids.get(key) {
+    /// Insert one point, creating measurement/series as needed.
+    pub fn insert(&mut self, point: Point) {
+        let hash = series_hash(&point.measurement, &point.tags);
+        let key = SeriesKey {
+            measurement: point.measurement,
+            tags: point.tags,
+        };
+        let row = Row {
+            timestamp: point.timestamp,
+            fields: point.fields,
+        };
+        self.insert_series_rows(&key, hash, std::iter::once(row));
+    }
+
+    /// Append rows of one series, resolving (or creating) the series once
+    /// for the whole row set. `hash` is the key's [`series_hash`]; a new
+    /// series is placed on shard `hash % shard_count` and gets the next
+    /// id, so the id order is the order series first arrive. Rows are
+    /// inserted in the given order, so duplicate-timestamp last-write-wins
+    /// merges resolve as they would one row at a time.
+    pub(crate) fn insert_series_rows(
+        &mut self,
+        key: &SeriesKey,
+        hash: u64,
+        rows: impl IntoIterator<Item = Row>,
+    ) {
+        // Clone the measurement name only when it is new.
+        if !self.meta.contains_key(&key.measurement) {
+            self.meta
+                .insert(key.measurement.clone(), MeasurementMeta::default());
+        }
+        let meta = self.meta.get_mut(&key.measurement).expect("just ensured");
+        let (id, shard) = match meta.series_ids.get(key) {
             Some(id) => (*id, meta.placement[id]),
             None => {
                 let id = SeriesId(self.next_series);
                 self.next_series += 1;
-                let shard = match canonical {
-                    Some(c) => shard_of_key(c, self.shard_count),
-                    None => shard_of_key(&key.canonical(), self.shard_count),
-                };
+                let shard = (hash % self.shard_count as u64) as usize;
                 meta.series_ids.insert(key.clone(), id);
                 meta.placement.insert(id, shard);
                 for (k, v) in &key.tags {
@@ -281,63 +305,7 @@ impl Storage {
                     );
                 (id, shard)
             }
-        }
-    }
-
-    /// Insert one point, creating measurement/series as needed.
-    pub fn insert(&mut self, point: Point) {
-        let key = SeriesKey {
-            measurement: point.measurement.clone(),
-            tags: point.tags.clone(),
         };
-        let (id, shard) = self.resolve_series(&key, None);
-        let meta = self
-            .meta
-            .get_mut(&point.measurement)
-            .expect("just resolved");
-        for k in point.fields.keys() {
-            meta.field_keys.insert(k.clone(), ());
-        }
-        let row = Row {
-            timestamp: point.timestamp,
-            fields: point.fields,
-        };
-        self.shards[shard]
-            .series
-            .get_mut(&point.measurement)
-            .expect("shard map just ensured")
-            .get_mut(&id)
-            .expect("series just ensured")
-            .insert(row);
-    }
-
-    /// Bulk-append rows of one series: the series is resolved (or
-    /// created) exactly as [`Storage::insert`] would — same id-allocation
-    /// order, same canonical-key shard placement — but once per call
-    /// instead of once per point, and the shard map is walked once for
-    /// the whole row set. Rows are inserted in the given order, so
-    /// duplicate-timestamp last-write-wins merges resolve identically to
-    /// inserting the rows one at a time.
-    pub fn insert_series_rows(&mut self, key: &SeriesKey, rows: Vec<Row>) {
-        self.insert_series_rows_placed(key, None, rows);
-    }
-
-    /// [`Storage::insert_series_rows`] with an optional precomputed
-    /// canonical key, sparing the batch path a second render per new
-    /// series.
-    pub(crate) fn insert_series_rows_placed(
-        &mut self,
-        key: &SeriesKey,
-        canonical: Option<&str>,
-        rows: Vec<Row>,
-    ) {
-        let (id, shard) = self.resolve_series(key, canonical);
-        let meta = self.meta.get_mut(&key.measurement).expect("just resolved");
-        for row in &rows {
-            for k in row.fields.keys() {
-                meta.field_keys.insert(k.clone(), ());
-            }
-        }
         let series = self.shards[shard]
             .series
             .get_mut(&key.measurement)
@@ -345,6 +313,12 @@ impl Storage {
             .get_mut(&id)
             .expect("series just ensured");
         for row in rows {
+            for k in row.fields.keys() {
+                // Clone a field name only the first time it appears.
+                if !meta.field_keys.contains_key(k) {
+                    meta.field_keys.insert(k.clone(), ());
+                }
+            }
             series.insert(row);
         }
     }

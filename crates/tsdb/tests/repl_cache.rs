@@ -4,12 +4,15 @@
 //! per-measurement write version. Locally ingested points bump it in
 //! `write_point`; this suite pins the regression risk replication
 //! introduced: writes that arrive *remotely* — hint replay and
-//! anti-entropy repair both land through `Database::apply_remote` —
+//! anti-entropy repair both land through `Database::ingest` with
+//! `Origin::Remote` —
 //! must bump the same version, or a replica that cached a result while
 //! it was behind would keep serving pre-repair rows forever.
 
+use pmove_obs::Registry;
 use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
-use pmove_tsdb::{Database, FieldValue, Point};
+use pmove_tsdb::subscribe::{drain, Subscription};
+use pmove_tsdb::{Database, FieldValue, IngestLimiter, Origin, Point, RollupConfig, TsdbError};
 
 fn point(ts: i64, v: f64) -> Point {
     Point::new("m")
@@ -19,14 +22,59 @@ fn point(ts: i64, v: f64) -> Point {
 }
 
 #[test]
-fn apply_remote_bumps_the_write_version() {
+fn remote_ingest_bumps_the_write_version() {
     let db = Database::new("r");
     let v0 = db.write_version("m");
-    db.apply_remote(point(1_000, 1.25)).unwrap();
+    let out = db
+        .ingest(vec![point(1_000, 1.25)], Origin::Remote, None)
+        .unwrap();
+    assert!(out.all_accepted());
     assert!(
         db.write_version("m") > v0,
         "remote write left version stale"
     );
+}
+
+#[test]
+fn remote_ingest_bypasses_a_saturated_limiter_and_the_client_ledger() {
+    let reg = Registry::shared();
+    let db = Database::with_obs("r", reg.clone());
+    db.enable_rollups(RollupConfig::with_tiers(&[10]));
+    // Nothing fits in any window: every client write is refused.
+    db.set_ingest_limiter(IngestLimiter::per_window(1_000_000, 0));
+    let rx = db.subscribe(Subscription::measurement("m"));
+    assert!(matches!(
+        db.write_point(point(1, 0.5)),
+        Err(TsdbError::IngestOverloaded { .. })
+    ));
+    let stats = db.stats();
+    assert_eq!(stats.points_rejected, 1);
+    assert!(db.rollup_tick().is_some());
+    let v0 = db.write_version("m");
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("tsdb.repl.remote_applied", &[]), None);
+
+    let out = db
+        .ingest(vec![point(2, 1.25)], Origin::Remote, None)
+        .unwrap();
+    assert!(out.all_accepted());
+    assert_eq!(db.total_rows(), 1, "remote point was not applied");
+    assert_eq!(db.stats(), stats, "remote write moved the client ledger");
+    assert!(
+        db.write_version("m") > v0,
+        "remote write left version stale"
+    );
+    let live = drain(&rx);
+    assert_eq!(live.len(), 1, "subscriber missed the remote write");
+    assert_eq!(live[0].fields["f"], FieldValue::Float(1.25));
+    let tick = db.rollup_tick().unwrap();
+    assert!(
+        tick.buckets_materialized > 0,
+        "remote write left its rollup bucket clean"
+    );
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("tsdb.repl.remote_applied", &[]), Some(1));
+    assert_eq!(snap.counter("tsdb.points_offered", &[]), Some(1));
 }
 
 #[test]
@@ -50,7 +98,7 @@ fn cache_never_serves_pre_repair_rows_after_anti_entropy() {
     let again = lagging.query(q).unwrap();
     assert_eq!(again.rows.len(), 1);
 
-    // Anti-entropy streams the divergent range in via `apply_remote`.
+    // Anti-entropy streams the divergent range in as remote writes.
     let v_pre = lagging.write_version("m");
     let repair = set.repair_until_converged(4).unwrap();
     assert!(repair.converged);

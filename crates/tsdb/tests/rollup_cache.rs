@@ -5,7 +5,7 @@
 //! measurement are *served* — buckets that fell back to raw scans while
 //! dirty are served from tier cells afterwards — so the tick must bump
 //! the version of every measurement it materialized, exactly as
-//! `apply_remote` must for replicated writes (see `repl_cache.rs`).
+//! remote writes must for replicated data (see `repl_cache.rs`).
 //! Serving is bit-identical either way, but a stale entry would pin the
 //! pre-tick routing stats and, worse, outlive a later tier rewrite.
 
